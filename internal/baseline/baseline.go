@@ -38,6 +38,9 @@ type Middlebox struct {
 	attached  [2]bool
 	busyUntil time.Duration
 	queued    int
+	// backlog holds accepted packets until their inspection completes;
+	// busyUntil never decreases, so completions are FIFO.
+	backlog sim.Lane[inFlight]
 
 	// blocked holds 5-tuples with alert verdicts; subsequent packets of
 	// those flows are dropped inline.
@@ -48,6 +51,13 @@ type Middlebox struct {
 	Dropped   uint64
 	Alerts    uint64
 	Blocked   uint64
+}
+
+// inFlight is one packet queued in the appliance.
+type inFlight struct {
+	pkt  *netpkt.Packet
+	size int
+	out  uint32
 }
 
 type fiveTuple struct {
@@ -72,7 +82,7 @@ func tupleOf(pkt *netpkt.Packet) (fiveTuple, bool) {
 
 // NewMiddlebox creates an inline appliance.
 func NewMiddlebox(eng *sim.Engine, capacityBps int64, engine *ids.Engine) *Middlebox {
-	return &Middlebox{
+	m := &Middlebox{
 		eng:         eng,
 		CapacityBps: capacityBps,
 		// Dedicated appliances parse headers in ASIC/NPU hardware; the
@@ -82,6 +92,11 @@ func NewMiddlebox(eng *sim.Engine, capacityBps int64, engine *ids.Engine) *Middl
 		QueueBytes: 512 << 10,
 		blocked:    make(map[fiveTuple]bool),
 	}
+	m.backlog.Init(eng, func(f inFlight) {
+		m.queued -= f.size
+		m.forward(f.out, f.pkt)
+	})
+	return m
 }
 
 // AttachPort wires one side of the appliance (0 = inside, 1 = outside).
@@ -111,11 +126,7 @@ func (m *Middlebox) Receive(side uint32, pkt *netpkt.Packet) {
 	}
 	m.busyUntil = start + cost
 	m.queued += size
-	out := 1 - side
-	m.eng.At(m.busyUntil, func() {
-		m.queued -= size
-		m.forward(out, pkt)
-	})
+	m.backlog.Push(m.busyUntil, inFlight{pkt: pkt, size: size, out: 1 - side})
 }
 
 func (m *Middlebox) forward(out uint32, pkt *netpkt.Packet) {

@@ -586,6 +586,11 @@ func New(cfg Config) *Controller {
 		sh:           sh,
 		obs:          cfg.Obs,
 	}
+	if sh != nil {
+		for _, s := range sh.shards {
+			s.lane.Init(c.eng, c.shardLaneDone)
+		}
+	}
 	if cfg.StatefulFW {
 		c.fwMirror = make(map[seproto.SessionKey]*fwMirrorEntry)
 		c.fwPending = make(map[uint64]*fwHandoff)

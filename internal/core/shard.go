@@ -54,6 +54,7 @@ import (
 
 	"livesec/internal/obs"
 	"livesec/internal/openflow"
+	"livesec/internal/sim"
 )
 
 // defaultShardFailoverDelay is the hot-standby takeover delay: long
@@ -97,6 +98,15 @@ type pendingShardMsg struct {
 	at time.Duration
 }
 
+// laneMsg is one packet-in waiting on a shard lane, with the trace
+// context its deferred dispatch resumes (see shardLaneDispatch).
+type laneMsg struct {
+	st            *switchState
+	m             openflow.Message
+	at            time.Duration
+	ptrace, pspan uint64
+}
+
 // shardState is one controller shard's live state.
 type shardState struct {
 	id    int
@@ -105,6 +115,9 @@ type shardState struct {
 	// virtual time its event loop finishes the packet-ins accepted so
 	// far (ShardLanes only).
 	busyUntil time.Duration
+	// lane holds accepted packet-ins until busyUntil passes each one;
+	// busyUntil never decreases, so the lane is FIFO.
+	lane sim.Lane[laneMsg]
 	// downSince stamps the kill for outage accounting.
 	downSince time.Duration
 	pending   []pendingShardMsg
@@ -236,16 +249,20 @@ func (c *Controller) shardLaneDispatch(s *shardState, st *switchState, m openflo
 		start = s.busyUntil
 	}
 	s.busyUntil = start + c.cfg.PacketInCost
-	c.eng.At(s.busyUntil, func() {
-		if c.obs != nil {
-			c.obsAcceptedAt = at
-			c.obsParentTrace, c.obsParentSpan = ptrace, pspan
-		}
-		c.dispatch(st, m)
-		if c.obs != nil {
-			c.obsParentTrace, c.obsParentSpan = 0, 0
-		}
-	})
+	s.lane.Push(s.busyUntil, laneMsg{st: st, m: m, at: at, ptrace: ptrace, pspan: pspan})
+}
+
+// shardLaneDone dispatches a packet-in whose shard-lane processing time
+// has elapsed.
+func (c *Controller) shardLaneDone(lm laneMsg) {
+	if c.obs != nil {
+		c.obsAcceptedAt = lm.at
+		c.obsParentTrace, c.obsParentSpan = lm.ptrace, lm.pspan
+	}
+	c.dispatch(lm.st, lm.m)
+	if c.obs != nil {
+		c.obsParentTrace, c.obsParentSpan = 0, 0
+	}
 }
 
 // shardFlush completes one setup's emission through the shard layer.

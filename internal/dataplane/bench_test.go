@@ -114,3 +114,27 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSwitchHop measures one forwarded packet through a switch in
+// the post-setup steady state: Receive, the forwarding-delay lane, the
+// pipeline (microflow hit), the output action, and the egress link's
+// transmit and delivery.
+func BenchmarkSwitchHop(b *testing.B) {
+	eng, sw, pkt := benchSwitch(false)
+	sw.Receive(1, pkt) // warm the microflow cache, lanes and heap
+	if err := eng.RunAll(1 << 20); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw.Receive(1, pkt)
+		if err := eng.RunAll(1 << 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if sw.TableMisses != 0 {
+		b.Fatalf("unexpected table misses: %d", sw.TableMisses)
+	}
+}

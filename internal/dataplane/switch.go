@@ -82,6 +82,10 @@ type Switch struct {
 	// allocation and sort per packet.
 	portOrder []uint32
 
+	// inbound holds received frames waiting out the forwarding delay.
+	// It is FIFO because proc is fixed at construction.
+	inbound sim.Lane[bufferedPacket]
+
 	buffers  map[uint32]bufferedPacket
 	nextBuf  uint32
 	nextXID  uint32
@@ -129,6 +133,7 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	if !cfg.DisableMicroflow {
 		s.micro = newMicroflowCache()
 	}
+	s.inbound.Init(eng, func(b bufferedPacket) { s.pipeline(b.inPort, b.pkt) })
 	return s
 }
 
@@ -232,7 +237,7 @@ func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
 	p.stats.RxPackets++
 	p.stats.RxBytes += uint64(pkt.WireLen())
 	// Model the software forwarding delay, then run the pipeline.
-	s.eng.Schedule(s.proc, func() { s.pipeline(portNo, pkt) })
+	s.inbound.Push(s.eng.Now()+s.proc, bufferedPacket{pkt: pkt, inPort: portNo})
 }
 
 func (s *Switch) pipeline(inPort uint32, pkt *netpkt.Packet) {
@@ -259,10 +264,12 @@ func (s *Switch) pipeline(inPort uint32, pkt *netpkt.Packet) {
 }
 
 // apply executes an action list on a packet. Header-rewriting actions
-// clone the packet so shared references stay intact, but consecutive
-// rewrites share one clone: a fresh copy is only taken when the current
-// packet is still shared — the caller's original, or a clone that has
-// already been emitted through an output action.
+// only touch Ethernet fields, so they rewrite a copy of the Packet
+// struct: the L3/L4 headers and the payload stay shared, which is safe
+// because in-flight packets are immutable above L2 (see netpkt.Packet).
+// Consecutive rewrites share one copy; a fresh one is only taken when
+// the current packet is still shared — the caller's original, or a copy
+// that has already been emitted through an output action.
 func (s *Switch) apply(inPort uint32, pkt *netpkt.Packet, actions []openflow.Action) {
 	if len(actions) == 0 {
 		return // drop
@@ -273,13 +280,13 @@ func (s *Switch) apply(inPort uint32, pkt *netpkt.Packet, actions []openflow.Act
 		switch act := a.(type) {
 		case openflow.ActionSetDLDst:
 			if !owned {
-				cur = cur.Clone()
+				cur = l2Copy(cur)
 				owned = true
 			}
 			cur.EthDst = act.MAC
 		case openflow.ActionSetDLSrc:
 			if !owned {
-				cur = cur.Clone()
+				cur = l2Copy(cur)
 				owned = true
 			}
 			cur.EthSrc = act.MAC
@@ -288,6 +295,13 @@ func (s *Switch) apply(inPort uint32, pkt *netpkt.Packet, actions []openflow.Act
 			owned = false // receivers hold references now
 		}
 	}
+}
+
+// l2Copy returns a copy of pkt whose Ethernet fields may be rewritten;
+// everything above L2 is shared with pkt.
+func l2Copy(pkt *netpkt.Packet) *netpkt.Packet {
+	q := *pkt
+	return &q
 }
 
 func (s *Switch) output(inPort uint32, pkt *netpkt.Packet, act openflow.ActionOutput) {

@@ -41,6 +41,12 @@ type Switch struct {
 	macs    map[netpkt.MAC]learned
 	// groups holds ECMP port bundles (ecmp.go).
 	groups map[uint32]*ecmpGroup
+	// portOrder caches the attached ports in ascending order for
+	// flooding; AttachPort invalidates it.
+	portOrder []uint32
+	// inbound holds received frames waiting out procDelay; a constant
+	// delay keeps it FIFO.
+	inbound sim.Lane[inFrame]
 
 	// FloodedFrames counts frames sent by flooding (unknown unicast or
 	// broadcast); the directory-proxy ablation reads it.
@@ -49,9 +55,15 @@ type Switch struct {
 	ForwardedFrames uint64
 }
 
+// inFrame is one received frame awaiting forwarding.
+type inFrame struct {
+	inPort uint32
+	pkt    *netpkt.Packet
+}
+
 // NewSwitch creates a learning switch.
 func NewSwitch(eng *sim.Engine, id int, name string) *Switch {
-	return &Switch{
+	s := &Switch{
 		eng:     eng,
 		id:      id,
 		name:    name,
@@ -59,6 +71,8 @@ func NewSwitch(eng *sim.Engine, id int, name string) *Switch {
 		blocked: make(map[uint32]bool),
 		macs:    make(map[netpkt.MAC]learned),
 	}
+	s.inbound.Init(eng, func(f inFrame) { s.forward(f.inPort, f.pkt) })
+	return s
 }
 
 // Name returns the switch name.
@@ -67,6 +81,21 @@ func (s *Switch) Name() string { return s.name }
 // AttachPort registers local port no as this switch's end of l.
 func (s *Switch) AttachPort(no uint32, l *link.Link) {
 	s.ports[no] = l.From(s)
+	s.portOrder = nil // port set changed; rebuild the flood order lazily
+}
+
+// sortedPorts lists the attached ports ascending (deterministic
+// flooding). The slice is cached across frames; callers must not modify
+// or retain it.
+func (s *Switch) sortedPorts() []uint32 {
+	if s.portOrder == nil && len(s.ports) > 0 {
+		s.portOrder = make([]uint32, 0, len(s.ports))
+		for no := range s.ports {
+			s.portOrder = append(s.portOrder, no)
+		}
+		sort.Slice(s.portOrder, func(i, j int) bool { return s.portOrder[i] < s.portOrder[j] })
+	}
+	return s.portOrder
 }
 
 // Block puts a port in spanning-tree discard state.
@@ -86,7 +115,7 @@ func (s *Switch) Receive(portNo uint32, pkt *netpkt.Packet) {
 		// the same next hop.
 		s.macs[pkt.EthSrc] = learned{port: s.groupLeader(portNo), at: now}
 	}
-	s.eng.Schedule(procDelay, func() { s.forward(portNo, pkt) })
+	s.inbound.Push(now+procDelay, inFrame{inPort: portNo, pkt: pkt})
 }
 
 func (s *Switch) forward(inPort uint32, pkt *netpkt.Packet) {
@@ -104,12 +133,7 @@ func (s *Switch) forward(inPort uint32, pkt *netpkt.Packet) {
 	// ingress, in port order so simulations are deterministic; ECMP
 	// bundles contribute only their leader so loops and duplicates
 	// cannot form.
-	ports := make([]uint32, 0, len(s.ports))
-	for no := range s.ports {
-		ports = append(ports, no)
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	for _, no := range ports {
+	for _, no := range s.sortedPorts() {
 		if no == inPort || s.blocked[no] || s.sameGroup(no, inPort) {
 			continue
 		}

@@ -70,7 +70,33 @@ type endpoint struct {
 	busyUntl time.Duration // when the transmitter frees up
 	queued   int           // bytes waiting or in transmission
 
+	// arrivals holds in-flight packets in arrival order. It is FIFO
+	// because busyUntl never decreases and Delay is fixed at
+	// construction (SetRateScale changes only the rate).
+	arrivals sim.Lane[hop]
+
 	stats Stats
+}
+
+// hop is one packet in flight on an endpoint. On a partition-cut link
+// pkt is nil: the record only frees the sender's queue, and the packet
+// itself crosses as a partition post.
+type hop struct {
+	pkt  *netpkt.Packet
+	size int
+}
+
+// arrive completes one transmission: the bytes leave the transmit queue
+// and, on a local link, the packet reaches the peer. The receiver's
+// administrative state is read at arrival time.
+func (ep *endpoint) arrive(h hop) {
+	ep.queued -= h.size
+	if h.pkt == nil {
+		return
+	}
+	if peer := ep.peer; peer.up {
+		peer.node.Receive(peer.port, h.pkt)
+	}
 }
 
 // Link is a full-duplex connection between two node ports.
@@ -95,6 +121,8 @@ func Connect(eng *sim.Engine, nodeA Node, portA uint32, nodeB Node, portB uint32
 	}
 	l.a.peer = &l.b
 	l.b.peer = &l.a
+	l.a.arrivals.Init(eng, l.a.arrive)
+	l.b.arrivals.Init(eng, l.b.arrive)
 	return l
 }
 
@@ -122,6 +150,7 @@ func ConnectParts(pa, pb *sim.Partition, nodeA Node, portA uint32, nodeB Node, p
 	l.a.part = pa
 	l.b.part = pb
 	l.b.eng = pb.Engine()
+	l.b.arrivals.Init(l.b.eng, l.b.arrive)
 	return l
 }
 
@@ -203,13 +232,16 @@ func (e Endpoint) Send(pkt *netpkt.Packet) {
 	ep.stats.TxPackets++
 	ep.stats.TxBytes += uint64(size)
 	arrive := ep.busyUntl + ep.params.Delay
-	peer := ep.peer
 	if ep.part != nil {
 		// Partition-cut link: the transmit queue frees on the sender's
 		// partition; delivery crosses as a timestamped post, with the
 		// receiver's administrative state read on its own partition at
-		// arrival time — the same instant the serial path reads it.
-		ep.eng.At(arrive, func() { ep.queued -= size })
+		// arrival time — the same instant the serial path reads it. The
+		// post keeps its closure: it is parked in an outbox and merged
+		// into the receiver's heap at the window barrier, where no lane
+		// of the sender can own it.
+		ep.arrivals.Push(arrive, hop{size: size})
+		peer := ep.peer
 		ep.part.Post(peer.part, arrive, func() {
 			if peer.up {
 				peer.node.Receive(peer.port, pkt)
@@ -217,12 +249,7 @@ func (e Endpoint) Send(pkt *netpkt.Packet) {
 		})
 		return
 	}
-	ep.eng.At(arrive, func() {
-		ep.queued -= size
-		if peer.up {
-			peer.node.Receive(peer.port, pkt)
-		}
-	})
+	ep.arrivals.Push(arrive, hop{pkt: pkt, size: size})
 }
 
 // QueueDelay returns how long a packet enqueued now would wait before its

@@ -148,6 +148,13 @@ type ICMPHeader struct {
 // Packet is one Ethernet frame moving through the simulated network.
 // Exactly one of ARP, LLDP, IP should be set according to EthType; when IP
 // is set, at most one of TCP, UDP, ICMP is set according to IP.Proto.
+//
+// Ownership: once sent, a packet is in flight and immutable above L2 —
+// its ARP/LLDP/IP/TCP/UDP/ICMP headers and Payload may be shared by
+// several in-flight copies, so no receiver may write to them. Only the
+// OpenFlow switch's action pipeline (dataplane Switch.apply) rewrites
+// Ethernet fields, and it does so on its own copy of the Packet struct.
+// A node that wants to modify anything else must Clone first.
 type Packet struct {
 	EthDst  MAC
 	EthSrc  MAC
@@ -230,9 +237,9 @@ func (p *Packet) WireLen() int {
 	return n
 }
 
-// Clone returns a deep copy of the packet. Switching elements that modify
-// headers (e.g. dl_dst rewrite) operate on their own copy so other queued
-// references remain intact.
+// Clone returns a deep copy of the packet, headers and payload included,
+// for code that must modify a packet above L2 or keep it beyond the
+// in-flight ownership rules on Packet.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if p.ARP != nil {

@@ -68,6 +68,18 @@ type simConn struct {
 	// partitions (SimPipeParts); deliveries then cross as timestamped
 	// partition posts, with the control latency as the lookahead.
 	part *sim.Partition
+
+	// inflight holds this side's writes on their way to the peer over a
+	// same-partition pipe. It is FIFO because latency is fixed.
+	inflight sim.Lane[write]
+}
+
+// write is one transport write in flight: an encoded buffer borrowed
+// from bufPool, holding one message or a back-to-back batch.
+type write struct {
+	bp    *[]byte
+	data  []byte
+	batch bool
 }
 
 // SimPipe creates a connected pair of simulated secure-channel endpoints
@@ -76,6 +88,8 @@ func SimPipe(eng *sim.Engine, latency time.Duration) (Conn, Conn) {
 	a := &simConn{eng: eng, latency: latency}
 	b := &simConn{eng: eng, latency: latency}
 	a.peer, b.peer = b, a
+	a.inflight.Init(eng, a.arrive)
+	b.inflight.Init(eng, b.arrive)
 	return a, b
 }
 
@@ -99,17 +113,54 @@ func SimPipeParts(pa, pb *sim.Partition, latency time.Duration) (Conn, Conn) {
 	return a, b
 }
 
-// deliver runs fn at the peer after the channel latency — a local event
-// on a same-partition pipe, a cross-partition post otherwise. The
-// encode-buffer handoff across partitions is safe: the barrier that
-// publishes the post also orders the sender's writes before the
-// receiver's reads, and bufPool itself is concurrency-safe.
-func (c *simConn) deliver(fn func()) {
+// deliver hands w to the peer after the channel latency — through the
+// in-flight lane on a same-partition pipe, as a cross-partition post
+// otherwise. The post keeps a closure: it waits in an outbox for the
+// window barrier, outside any lane. The encode-buffer handoff across
+// partitions is safe: the barrier that publishes the post also orders
+// the sender's writes before the receiver's reads, and bufPool itself is
+// concurrency-safe.
+func (c *simConn) deliver(w write) {
 	if c.part != nil {
-		c.part.Post(c.peer.part, c.eng.Now()+c.latency, fn)
+		c.part.Post(c.peer.part, c.eng.Now()+c.latency, func() { c.arrive(w) })
 		return
 	}
-	c.eng.Schedule(c.latency, fn)
+	c.inflight.Push(c.eng.Now()+c.latency, w)
+}
+
+// arrive decodes w at the peer and hands each message to its handler,
+// then returns the buffer to the pool.
+func (c *simConn) arrive(w write) {
+	defer func() { *w.bp = w.data[:0]; bufPool.Put(w.bp) }()
+	peer := c.peer
+	if peer.closed || peer.handler == nil {
+		return
+	}
+	if !w.batch {
+		msg, err := Decode(w.data)
+		if err != nil {
+			// A decode failure here is a codec bug; surface it loudly in
+			// simulation rather than silently dropping.
+			panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
+		}
+		peer.handler(msg)
+		return
+	}
+	for rest := w.data; len(rest) >= headerLen; {
+		length := int(binary.BigEndian.Uint16(rest[2:4]))
+		if length < headerLen || length > len(rest) {
+			panic("openflow: sim transport batch framing")
+		}
+		msg, err := Decode(rest[:length])
+		if err != nil {
+			panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
+		}
+		peer.handler(msg)
+		if peer.closed {
+			return
+		}
+		rest = rest[length:]
+	}
 }
 
 func (c *simConn) Send(m Message) {
@@ -117,21 +168,7 @@ func (c *simConn) Send(m Message) {
 		return
 	}
 	bp := bufPool.Get().(*[]byte)
-	data := MarshalAppend((*bp)[:0], m)
-	peer := c.peer
-	c.deliver(func() {
-		defer func() { *bp = data[:0]; bufPool.Put(bp) }()
-		if peer.closed || peer.handler == nil {
-			return
-		}
-		msg, err := Decode(data)
-		if err != nil {
-			// A decode failure here is a codec bug; surface it loudly in
-			// simulation rather than silently dropping.
-			panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
-		}
-		peer.handler(msg)
-	})
+	c.deliver(write{bp: bp, data: MarshalAppend((*bp)[:0], m)})
 }
 
 // SendBatch encodes the messages into one buffer and delivers them with
@@ -149,28 +186,7 @@ func (c *simConn) SendBatch(ms []Message) {
 	for _, m := range ms {
 		data = MarshalAppend(data, m)
 	}
-	peer := c.peer
-	c.deliver(func() {
-		defer func() { *bp = data[:0]; bufPool.Put(bp) }()
-		if peer.closed || peer.handler == nil {
-			return
-		}
-		for rest := data; len(rest) >= headerLen; {
-			length := int(binary.BigEndian.Uint16(rest[2:4]))
-			if length < headerLen || length > len(rest) {
-				panic("openflow: sim transport batch framing")
-			}
-			msg, err := Decode(rest[:length])
-			if err != nil {
-				panic(fmt.Sprintf("openflow: sim transport decode: %v", err))
-			}
-			peer.handler(msg)
-			if peer.closed {
-				return
-			}
-			rest = rest[length:]
-		}
-	})
+	c.deliver(write{bp: bp, data: data, batch: true})
 }
 
 func (c *simConn) SetHandler(fn func(Message)) { c.handler = fn }

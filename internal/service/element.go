@@ -115,6 +115,9 @@ type Element struct {
 
 	busyUntil time.Duration
 	queued    int
+	// backlog holds accepted packets until their processing completes;
+	// busyUntil never decreases, so completions are FIFO.
+	backlog sim.Lane[queuedPacket]
 
 	stats      Stats
 	windowPkts uint64 // packets since the last heartbeat
@@ -136,6 +139,12 @@ type Element struct {
 	installer StateInstaller
 }
 
+// queuedPacket is one packet in the element's processing queue.
+type queuedPacket struct {
+	pkt  *netpkt.Packet
+	size int
+}
+
 // New creates a service element.
 func New(eng *sim.Engine, cfg Config) *Element {
 	if cfg.CapacityBps == 0 {
@@ -145,6 +154,10 @@ func New(eng *sim.Engine, cfg Config) *Element {
 		cfg.QueueBytes = defaultQueueBytes
 	}
 	e := &Element{eng: eng, cfg: cfg}
+	e.backlog.Init(eng, func(q queuedPacket) {
+		e.queued -= q.size
+		e.process(q.pkt)
+	})
 	if cfg.Inspector != nil {
 		e.syncer, _ = cfg.Inspector.(StateSyncer)
 		e.installer, _ = cfg.Inspector.(StateInstaller)
@@ -273,10 +286,7 @@ func (e *Element) Receive(_ uint32, pkt *netpkt.Packet) {
 	}
 	e.busyUntil = start + cost
 	e.queued += size
-	e.eng.At(e.busyUntil, func() {
-		e.queued -= size
-		e.process(pkt)
-	})
+	e.backlog.Push(e.busyUntil, queuedPacket{pkt: pkt, size: size})
 }
 
 func (e *Element) process(pkt *netpkt.Packet) {

@@ -6,10 +6,10 @@ import (
 )
 
 // Steady-state scheduling is the simulator's innermost loop: every
-// packet transmission, propagation, and timer goes through one
-// Schedule/pop cycle. With events held by value in the heap slice,
-// a balanced push/pop workload must not allocate at all — the slice's
-// retained capacity is the free list.
+// timer and every Lane record goes through one push/pop cycle. With
+// events held by value in the heap slice, a balanced push/pop workload
+// must not allocate at all — the slice's retained capacity is the free
+// list.
 func TestSchedulePopZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")

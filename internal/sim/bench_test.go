@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// BenchmarkEngineSchedule measures one steady-state Schedule+pop cycle
-// through the public API against a queue of background events — the
-// cost every simulated packet hop pays twice (transmission and
-// propagation timers).
+// BenchmarkEngineSchedule measures one steady-state push+pop cycle of
+// the event heap against a queue of background events: the cost every
+// plain event pays, and every Lane pays once per record it fires.
 func BenchmarkEngineSchedule(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		b.Run(itoa(depth), func(b *testing.B) {

@@ -58,7 +58,12 @@ type Engine struct {
 	heap    []event
 	rng     *rand.Rand
 	stopped bool
-	// maxDepth is the heap-occupancy high-watermark, an observability
+	// backlog counts Lane records queued behind an armed lane head:
+	// logical events the heap does not hold. Pending and MaxDepth add it
+	// so they report the same values as if every record were a heap
+	// event.
+	backlog int
+	// maxDepth is the pending-event high-watermark, an observability
 	// signal for backlog growth (exported via MaxDepth).
 	maxDepth int
 
@@ -121,10 +126,12 @@ func (e *Engine) At(at time.Duration, fn func()) {
 // a no-op.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending reports the number of queued events, counting every Lane
+// record as one event.
+func (e *Engine) Pending() int { return len(e.heap) + e.backlog }
 
-// MaxDepth reports the largest number of events ever queued at once.
+// MaxDepth reports the largest number of events ever queued at once,
+// counted as Pending counts them.
 func (e *Engine) MaxDepth() int { return e.maxDepth }
 
 // Run executes events until the queue is empty, the horizon is passed, or
@@ -210,8 +217,8 @@ func (e *Engine) Ticker(period time.Duration, fn func()) (cancel func()) {
 // push appends ev and restores the heap invariant by sifting it up.
 func (e *Engine) push(ev event) {
 	e.heap = append(e.heap, ev)
-	if len(e.heap) > e.maxDepth {
-		e.maxDepth = len(e.heap)
+	if d := len(e.heap) + e.backlog; d > e.maxDepth {
+		e.maxDepth = d
 	}
 	i := len(e.heap) - 1
 	for i > 0 {
