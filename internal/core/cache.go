@@ -29,9 +29,10 @@ package core
 // Invalidation triggers (each covered by a test in cache_test.go):
 //
 //  1. Policy change — policy.Table.Version() is compared on every
-//     decision read; a mutation makes all cached decisions stale at
-//     once. Plans are decision-independent given the picked elements,
-//     so they stay.
+//     decision read; a version-stale decision is evicted only when a
+//     rule mutated since it was cached can match its key
+//     (policy.Table.DeltasSince), else revalidated in place. Plans are
+//     decision-independent given the picked elements, so they stay.
 //  2. Host mobility — a host seen at a new attachment point (or expired
 //     by TTL) invalidates every plan involving it as source or
 //     destination (invalidateHost).
@@ -161,16 +162,6 @@ func newDecisionCache() *decisionCache {
 	}
 }
 
-// decision returns the cached policy decision for sel if it is still
-// valid under the given policy version.
-func (dc *decisionCache) decision(sel selectorKey, version uint64) (policy.Decision, bool) {
-	cd, ok := dc.decisions[sel]
-	if !ok || cd.version != version {
-		return policy.Decision{}, false
-	}
-	return cd.dec, true
-}
-
 // matchKey reconstructs the flow key a cached decision was computed for,
 // as far as policy matching is concerned. The selector holds every field
 // policy.Match examines (that is the selector's defining property), so
@@ -189,15 +180,16 @@ func (sel selectorKey) matchKey() flow.Key {
 	}
 }
 
-// decisionPrecise is the delta-scoped variant of decision (trigger 1,
-// Config.PreciseInvalidation): a version-stale entry is not discarded
-// outright — the table's mutation log says exactly which match cones
-// changed since the entry was cached, and a decision whose key none of
-// those cones match cannot have changed, so it is revalidated in place.
+// decision returns the cached policy decision for sel if it is still
+// valid under tbl's current version. Invalidation is delta-scoped
+// (trigger 1): a version-stale entry is not discarded outright — the
+// table's mutation log says exactly which match cones changed since the
+// entry was cached, and a decision whose key none of those cones match
+// cannot have changed, so it is revalidated in place.
 // Eviction is lazy (on read), so a burst of rule edits costs nothing
 // until a cached flow actually returns; evicted/retained count the
 // stale reads that lost/kept their entry.
-func (dc *decisionCache) decisionPrecise(sel selectorKey, tbl *policy.Table, evicted, retained *uint64) (policy.Decision, bool) {
+func (dc *decisionCache) decision(sel selectorKey, tbl *policy.Table, evicted, retained *uint64) (policy.Decision, bool) {
 	cd, ok := dc.decisions[sel]
 	if !ok {
 		return policy.Decision{}, false

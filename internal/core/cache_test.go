@@ -20,19 +20,27 @@ func testSelector(src, dst uint64) selectorKey {
 }
 
 func TestDecisionCacheVersionCheck(t *testing.T) {
+	tbl := policy.NewTable(policy.Allow)
 	dc := newDecisionCache()
+	var ev, ret uint64
 	sel := testSelector(1, 2)
-	dc.putDecision(sel, 7, policy.Decision{Action: policy.Allow, Rule: "r"})
-	if dec, ok := dc.decision(sel, 7); !ok || dec.Rule != "r" {
+	dc.putDecision(sel, tbl.Version(), policy.Decision{Action: policy.Allow, Rule: "r"})
+	if dec, ok := dc.decision(sel, tbl, &ev, &ret); !ok || dec.Rule != "r" {
 		t.Fatalf("same-version read failed: %+v %v", dec, ok)
 	}
-	// A policy mutation bumps the table version; the stale entry must not
-	// be served (trigger 1).
-	if _, ok := dc.decision(sel, 8); ok {
+	if _, ok := dc.decision(testSelector(3, 4), tbl, &ev, &ret); ok {
+		t.Fatal("decision served for unknown selector")
+	}
+	// A policy mutation whose cone covers the flow bumps the table
+	// version; the stale entry must not be served (trigger 1).
+	if err := tbl.Add(&policy.Rule{Name: "user1", Match: policy.Match{User: sel.ethSrc}, Action: policy.Deny}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := dc.decision(sel, tbl, &ev, &ret); ok {
 		t.Fatal("stale decision served after version bump")
 	}
-	if _, ok := dc.decision(testSelector(3, 4), 7); ok {
-		t.Fatal("decision served for unknown selector")
+	if ev != 1 || ret != 0 {
+		t.Fatalf("counters after covering edit: evicted=%d retained=%d", ev, ret)
 	}
 }
 
@@ -54,7 +62,7 @@ func TestDecisionPrecise(t *testing.T) {
 	// An edit whose cone misses the flow (different port) must not cost
 	// the entry: retained, and revalidated in place.
 	add("other", policy.Match{DstPort: 9999})
-	if dec, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); !ok || dec.Rule != "d" {
+	if dec, ok := dc.decision(sel, tbl, &ev, &ret); !ok || dec.Rule != "d" {
 		t.Fatalf("unrelated edit evicted the decision: %+v %v", dec, ok)
 	}
 	if ev != 0 || ret != 1 {
@@ -62,13 +70,13 @@ func TestDecisionPrecise(t *testing.T) {
 	}
 	// Revalidation stamped the current version: the next read is a plain
 	// version hit and touches neither counter.
-	if _, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); !ok || ev != 0 || ret != 1 {
+	if _, ok := dc.decision(sel, tbl, &ev, &ret); !ok || ev != 0 || ret != 1 {
 		t.Fatalf("revalidated entry not served as fresh: evicted=%d retained=%d", ev, ret)
 	}
 
 	// An edit whose cone covers the flow evicts it.
 	add("covers", policy.Match{DstPort: 80})
-	if _, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); ok {
+	if _, ok := dc.decision(sel, tbl, &ev, &ret); ok {
 		t.Fatal("decision served across a covering rule edit")
 	}
 	if ev != 1 || ret != 1 {
@@ -81,7 +89,7 @@ func TestDecisionPrecise(t *testing.T) {
 	// A removal's cone counts the same as an addition's.
 	dc.putDecision(sel, tbl.Version(), policy.Decision{Action: policy.Deny, Rule: "covers"})
 	tbl.Remove("covers")
-	if _, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); ok {
+	if _, ok := dc.decision(sel, tbl, &ev, &ret); ok {
 		t.Fatal("decision served across a covering rule removal")
 	}
 }
@@ -103,7 +111,7 @@ func TestDecisionPreciseTrimmedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := dc.decisionPrecise(sel, tbl, &ev, &ret); ok {
+	if _, ok := dc.decision(sel, tbl, &ev, &ret); ok {
 		t.Fatal("decision served across a trimmed delta log")
 	}
 	if ev != 1 || ret != 0 {

@@ -157,22 +157,6 @@ type Config struct {
 	// `-stable` runs reproduce bit-for-bit.
 	Obs *obs.FlowObs
 
-	// CompiledPolicy switches policy lookups to the tuple-space compiled
-	// classifier (policy/compiled.go): shape partitions and prefix tries
-	// make a decision-cache miss O(partitions · trie depth) instead of
-	// O(rules). Decisions are identical to the linear scan
-	// (property-tested), so enabling it changes timing only. Off by
-	// default so existing runs reproduce bit-for-bit.
-	CompiledPolicy bool
-	// PreciseInvalidation scopes decision-cache invalidation on policy
-	// change to the mutated rules' match cones: a version-stale cached
-	// decision is revalidated against the table's mutation log
-	// (policy.Table.DeltasSince) and retained when no logged cone matches
-	// its flow key, instead of the wholesale version-mismatch eviction.
-	// Stats.PolicyCacheEvicted/Retained account the split. Off by
-	// default.
-	PreciseInvalidation bool
-
 	// SessionTTL expires session records that outlive it (sessions.go):
 	// FLOW_REMOVED notifications can be lost under storms or chaos
 	// faults, and an unexpirable record map is unbounded state. Zero
@@ -320,12 +304,11 @@ type Stats struct {
 	PlanCacheHits       uint64
 	PlanCacheMisses     uint64
 
-	// Delta-scoped decision-cache invalidation counters, live only under
-	// Config.PreciseInvalidation (see decisionPrecise in cache.go):
-	// of the cached decisions read while version-stale, how many were
-	// evicted because a mutated rule's cone matched their key versus
-	// revalidated and kept. Retained entries are exactly the invalidation
-	// work wholesale versioning wastes.
+	// Delta-scoped decision-cache invalidation counters (see decision in
+	// cache.go): of the cached decisions read while version-stale, how
+	// many were evicted because a mutated rule's cone matched their key
+	// versus revalidated and kept. Retained entries are exactly the
+	// invalidation work wholesale versioning wastes.
 	PolicyCacheEvicted  uint64
 	PolicyCacheRetained uint64
 
@@ -481,9 +464,6 @@ func New(cfg Config) *Controller {
 	if cfg.Policies == nil {
 		cfg.Policies = policy.NewTable(policy.Allow)
 	}
-	if cfg.CompiledPolicy {
-		cfg.Policies.SetCompiled(true)
-	}
 	if cfg.DefaultAlgorithm == 0 {
 		cfg.DefaultAlgorithm = loadbalance.LeastLoad
 	}
@@ -611,8 +591,8 @@ func New(cfg Config) *Controller {
 }
 
 // Intents returns the controller's intent compiler. Edits apply to the
-// live policy table immediately; with PreciseInvalidation enabled the
-// decision cache evicts only inside the edit's match cones.
+// live policy table immediately, and the decision cache evicts only
+// inside the edit's match cones.
 func (c *Controller) Intents() *intent.Compiler { return c.intents }
 
 // sortedSwitches returns registered switches in ascending dpid order so

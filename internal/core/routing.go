@@ -182,14 +182,8 @@ func (c *Controller) routeFlow(st *switchState, pi *openflow.PacketIn, pkt *netp
 	}
 	sel := selectorOf(st.dpid, key)
 	version := c.policies.Version()
-	var dec policy.Decision
-	var hit bool
-	if c.cfg.PreciseInvalidation {
-		dec, hit = c.cache.decisionPrecise(sel, c.policies,
-			&c.stats.PolicyCacheEvicted, &c.stats.PolicyCacheRetained)
-	} else {
-		dec, hit = c.cache.decision(sel, version)
-	}
+	dec, hit := c.cache.decision(sel, c.policies,
+		&c.stats.PolicyCacheEvicted, &c.stats.PolicyCacheRetained)
 	if hit {
 		c.stats.DecisionCacheHits++
 	} else {

@@ -48,7 +48,10 @@ func BenchmarkMicroflowLookup(b *testing.B) {
 // for the benchmark packet, ports wired to discard sinks.
 func benchSwitch(disableMicro bool) (*sim.Engine, *Switch, *netpkt.Packet) {
 	eng := sim.NewEngine(1)
-	sw := New(eng, Config{DPID: 1, Kind: KindOvS, DisableMicroflow: disableMicro})
+	sw := New(eng, Config{DPID: 1, Kind: KindOvS})
+	if disableMicro {
+		sw.micro = nil
+	}
 	l1 := link.Connect(eng, sw, 1, benchSink{}, 0, link.Params{})
 	l2 := link.Connect(eng, sw, 2, benchSink{}, 0, link.Params{})
 	sw.AttachPort(1, l1)

@@ -44,11 +44,6 @@ type Config struct {
 	// MaxEntries bounds the flow table (0 = unlimited). Hardware tables
 	// are finite; a full table rejects FLOW_MOD adds with an error.
 	MaxEntries int
-	// DisableMicroflow turns off the exact-match microflow cache in
-	// front of the flow table. Forwarding behavior is identical either
-	// way (the property tests assert it); the knob exists for A/B
-	// benchmarks and as an escape hatch.
-	DisableMicroflow bool
 }
 
 // PortStats counts per-port traffic.
@@ -72,7 +67,7 @@ type Switch struct {
 	cfg   Config
 	proc  time.Duration
 	table *FlowTable
-	micro *microflowCache // nil when Config.DisableMicroflow
+	micro *microflowCache // nil only in tests that bypass the cache
 	ports map[uint32]*swPort
 	ctrl  openflow.Conn
 	mac   netpkt.MAC
@@ -129,9 +124,7 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 		ports:   make(map[uint32]*swPort),
 		buffers: make(map[uint32]bufferedPacket),
 		mac:     netpkt.MACFromUint64(cfg.DPID | 1<<40),
-	}
-	if !cfg.DisableMicroflow {
-		s.micro = newMicroflowCache()
+		micro:   newMicroflowCache(),
 	}
 	s.inbound.Init(eng, func(b bufferedPacket) { s.pipeline(b.inPort, b.pkt) })
 	return s

@@ -11,6 +11,22 @@ import (
 	"livesec/internal/openflow"
 )
 
+// lookupLinear is the pre-index reference implementation: a linear scan
+// of the priority-sorted wildcard list. Kept (and exercised by the
+// property tests) as the specification Lookup must agree with.
+func (t *FlowTable) lookupLinear(k flow.Key) *Entry {
+	best := t.exact[k]
+	for _, e := range t.wildcards {
+		if best != nil && e.Priority <= best.Priority {
+			break // sorted: nothing below can beat the exact hit
+		}
+		if e.Match.Matches(k) {
+			return e
+		}
+	}
+	return best
+}
+
 // randKey draws keys from a small value space so random matches collide
 // often (the interesting case for priority/tie-break semantics).
 func randKey(r *rand.Rand) flow.Key {

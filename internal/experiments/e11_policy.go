@@ -32,9 +32,10 @@ import (
 //     block; the paper's interactive budget is ~10 ms.
 //   - Delta-scoped cache invalidation (core): a policy edit evicts only
 //     the cached decisions inside the edit's match cones. The A/B
-//     drives identical flow workloads through wholesale and precise
-//     invalidation and reports evicted/retained counts from the
-//     controller's own counters.
+//     drives one flow workload across policy edits and reports
+//     evicted/retained counts from the controller's own counters; the
+//     wholesale baseline is every version-stale read, since wholesale
+//     versioning would have re-resolved each of them.
 //
 // Rule-scale and edit rows are wall-clock, so E11 — like ESCALE — is
 // not part of "all": bench it explicitly with `livesec-bench
@@ -68,9 +69,7 @@ func E11PolicyEngine(scale Scale) Result {
 		m := e11Sweep(n, p)
 		res.Rows = append(res.Rows,
 			Row{Name: fmt.Sprintf("install %d rules", n), Value: m.installMS, Unit: "ms",
-				Paper: "n/a (engine perf)"},
-			Row{Name: fmt.Sprintf("compile %d rules", n), Value: m.compileMS, Unit: "ms",
-				Paper: "n/a (engine perf)"},
+				Paper: "n/a (engine perf, incl. classifier build)"},
 			Row{Name: fmt.Sprintf("compiled lookup p50 @%d", n), Value: m.p50us, Unit: "us",
 				Paper: "n/a (engine perf)"},
 			Row{Name: fmt.Sprintf("compiled lookup p99 @%d", n), Value: m.p99us, Unit: "us",
@@ -112,18 +111,13 @@ func E11PolicyEngine(scale Scale) Result {
 			Paper: "< 5% of the warm cache"},
 		Row{Name: "targeted edit: re-resolved (wholesale)", Value: ab.targWholesale, Unit: "count",
 			Paper: "100% — every warm decision"},
-		Row{Name: "compiled vs linear: identical run", Value: ab.identical, Unit: "bool",
-			Paper: "1 — decision-for-decision equivalent"},
 	)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("user-keyed microsegmentation rules (10 per user); %d lookup samples per size cycling a %d-key working set over %d active users, linear mean over %d samples; GC forced before timed sections",
 			p.samples, e11PoolKeys, e11ActiveUsers, p.linSamples),
-		fmt.Sprintf("A/B: %d users x %d flows each, 5 unrelated intent edits then 1 targeted quarantine; counters are livesec_policy_cache_invalidation_total",
+		fmt.Sprintf("A/B: %d users x %d flows each, 5 unrelated intent edits then 1 targeted quarantine; counters are livesec_policy_cache_invalidation_total, wholesale = evicted + retained (every version-stale read)",
 			e11Users, e11Flows),
 	)
-	if ab.identical != 1 {
-		res.Notes = append(res.Notes, "EQUIVALENCE BROKE — compiled run diverged from linear run")
-	}
 	return res
 }
 
@@ -195,14 +189,14 @@ func e11Keys(nUsers, activeUsers int, seed int64, samples int) []flow.Key {
 // e11SweepMetrics is one rule-count sweep point.
 type e11SweepMetrics struct {
 	installMS float64
-	compileMS float64
 	p50us     float64
 	p99us     float64
 	coldP99us float64
 	speedup   float64
 }
 
-// e11Sweep measures install, compile, and lookup at one rule count.
+// e11Sweep measures install (which builds the classifier incrementally)
+// and lookup at one rule count.
 func e11Sweep(n int, p e11Params) e11SweepMetrics {
 	rules := e11Rules(n)
 	tbl := policy.NewTable(policy.Allow)
@@ -212,10 +206,6 @@ func e11Sweep(n int, p e11Params) e11SweepMetrics {
 		panic(err) // e11Rules emits only valid, unique rules
 	}
 	installMS := time.Since(start).Seconds() * 1e3
-
-	start = time.Now()
-	tbl.SetCompiled(true)
-	compileMS := time.Since(start).Seconds() * 1e3
 
 	// Steady-state regime: production flow arrivals repeat a working set
 	// of users and destinations, so the partitions a lookup touches stay
@@ -257,17 +247,15 @@ func e11Sweep(n int, p e11Params) e11SweepMetrics {
 
 	// Linear baseline: mean over a small sample (the scan is O(rules),
 	// so a full sample would dominate the experiment's runtime).
-	tbl.SetCompiled(false)
 	linKeys := pool[:p.linSamples]
 	start = time.Now()
 	for _, k := range linKeys {
-		e11Sink = tbl.Lookup(k)
+		e11Sink = tbl.LookupLinear(k)
 	}
 	linearMean := time.Since(start).Seconds() * 1e6 / float64(len(linKeys))
 
 	return e11SweepMetrics{
 		installMS: installMS,
-		compileMS: compileMS,
 		p50us:     p50,
 		p99us:     p99,
 		coldP99us: coldP99,
@@ -308,11 +296,10 @@ func e11Intent(i int) intent.Intent {
 	}
 }
 
-// e11Intents loads the intent compiler to p.intents intents against a
-// compiled table, then measures p.edits single-intent edits.
+// e11Intents loads the intent compiler to p.intents intents, then
+// measures p.edits single-intent edits.
 func e11Intents(p e11Params) e11IntentMetrics {
 	tbl := policy.NewTable(policy.Deny)
-	tbl.SetCompiled(true)
 	c := intent.New(tbl)
 
 	start := time.Now()
@@ -359,29 +346,25 @@ type e11ABMetrics struct {
 	targRetained   float64
 	targFraction   float64
 	targWholesale  float64
-	identical      float64
 }
 
-// e11ABRun is one A/B arm: stats snapshots after warm-up, after the
-// unrelated churn, and after the targeted edit.
-type e11ABRun struct {
-	s1, s2, s3 struct {
-		hits, misses, evicted, retained uint64
-	}
-	flowsRouted, flowsBlocked uint64
-	delivered                 int
-}
+// e11ABSnap is the controller's decision-cache invalidation counters at
+// one point of the A/B run.
+type e11ABSnap struct{ evicted, retained uint64 }
 
-// e11Drive runs one invalidation arm: warm e11Users x e11Flows UDP
+// stale counts the version-stale reads so far: each one is a decision
+// wholesale versioning would have re-resolved.
+func (s e11ABSnap) stale() uint64 { return s.evicted + s.retained }
+
+// e11Drive runs the invalidation A/B: warm e11Users x e11Flows UDP
 // decisions, churn five intents no deployed flow matches, re-drive the
-// same flows, quarantine user 0, re-drive again. Every arm executes the
-// identical event sequence — only the cache knobs differ.
-func e11Drive(compiled, precise bool) *e11ABRun {
+// same flows, quarantine user 0, re-drive again. It returns the
+// counters after warm-up, after the unrelated churn, and after the
+// targeted edit, or nil if the deployment failed.
+func e11Drive() []e11ABSnap {
 	n := testbed.New(testbed.Options{
-		Seed:                17,
-		CompiledPolicy:      compiled,
-		PreciseInvalidation: precise,
-		FlowIdle:            time.Minute,
+		Seed:     17,
+		FlowIdle: time.Minute,
 	})
 	defer n.Shutdown()
 	sw := n.AddOvS("s1")
@@ -390,34 +373,29 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 	for i := range users {
 		users[i] = n.AddWiredUser(sw, fmt.Sprintf("u%d", i), netpkt.IP(10, 0, 1, byte(i+1)))
 	}
-	srv := n.AddServer(srvSw, "srv", netpkt.IP(166, 111, 1, 1))
+	n.AddServer(srvSw, "srv", netpkt.IP(166, 111, 1, 1))
 	if err := n.Discover(); err != nil {
 		return nil
 	}
-	delivered := 0
-	for f := 0; f < e11Flows; f++ {
-		srv.HandleUDP(uint16(7001+f), func(*netpkt.Packet) { delivered++ })
-	}
 
-	run := &e11ABRun{}
+	var snaps []e11ABSnap
 	drive := func(srcBase uint16) bool {
 		for i, u := range users {
 			for f := 0; f < e11Flows; f++ {
 				u.SendUDP(netpkt.IP(166, 111, 1, 1), srcBase+uint16(i), uint16(7001+f), []byte("x"), 0)
 			}
 		}
-		return n.Run(150*time.Millisecond) == nil
-	}
-	snap := func(s *struct{ hits, misses, evicted, retained uint64 }) {
+		if n.Run(150*time.Millisecond) != nil {
+			return false
+		}
 		st := n.Controller.Stats()
-		s.hits, s.misses = st.DecisionCacheHits, st.DecisionCacheMisses
-		s.evicted, s.retained = st.PolicyCacheEvicted, st.PolicyCacheRetained
+		snaps = append(snaps, e11ABSnap{st.PolicyCacheEvicted, st.PolicyCacheRetained})
+		return true
 	}
 
 	if !drive(20000) {
 		return nil
 	}
-	snap(&run.s1)
 
 	// Unrelated churn: intents over users that do not exist in the
 	// deployment — their cones overlap no cached decision.
@@ -434,7 +412,6 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 	if !drive(21000) {
 		return nil
 	}
-	snap(&run.s2)
 
 	// Targeted edit: quarantine user 0 — the cone covers exactly that
 	// user's cached flows.
@@ -449,42 +426,24 @@ func e11Drive(compiled, precise bool) *e11ABRun {
 	if !drive(22000) {
 		return nil
 	}
-	snap(&run.s3)
-
-	st := n.Controller.Stats()
-	run.flowsRouted, run.flowsBlocked = st.FlowsRouted, st.FlowsBlocked
-	run.delivered = delivered
-	return run
+	return snaps
 }
 
-// e11Precision runs the three invalidation arms and folds them into
-// rows: linear/wholesale (the baseline and identity reference),
-// compiled/wholesale (the A of the cache A/B), compiled/precise (the B).
+// e11Precision runs the A/B and folds its counters into rows.
 func e11Precision() *e11ABMetrics {
-	linear := e11Drive(false, false)
-	wholesale := e11Drive(true, false)
-	precise := e11Drive(true, true)
-	if linear == nil || wholesale == nil || precise == nil {
+	s := e11Drive()
+	if s == nil {
 		return nil
 	}
 	warm := float64(e11Users * e11Flows)
 	m := &e11ABMetrics{
 		warm:           warm,
-		unrelEvicted:   float64(precise.s2.evicted - precise.s1.evicted),
-		unrelWholesale: float64(wholesale.s2.misses - wholesale.s1.misses),
-		targEvicted:    float64(precise.s3.evicted - precise.s2.evicted),
-		targRetained:   float64(precise.s3.retained - precise.s2.retained),
-		targWholesale:  float64(wholesale.s3.misses - wholesale.s2.misses),
+		unrelEvicted:   float64(s[1].evicted - s[0].evicted),
+		unrelWholesale: float64(s[1].stale() - s[0].stale()),
+		targEvicted:    float64(s[2].evicted - s[1].evicted),
+		targRetained:   float64(s[2].retained - s[1].retained),
+		targWholesale:  float64(s[2].stale() - s[1].stale()),
 	}
 	m.targFraction = m.targEvicted / warm * 100
-	// Identity: the compiled run must be indistinguishable from the
-	// linear run — same cache traffic, same flow outcomes, same
-	// delivered packets.
-	if linear.s3 == wholesale.s3 && linear.s1 == wholesale.s1 && linear.s2 == wholesale.s2 &&
-		linear.flowsRouted == wholesale.flowsRouted &&
-		linear.flowsBlocked == wholesale.flowsBlocked &&
-		linear.delivered == wholesale.delivered {
-		m.identical = 1
-	}
 	return m
 }

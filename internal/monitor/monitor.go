@@ -82,10 +82,15 @@ type Event struct {
 type Store struct {
 	mu       sync.RWMutex
 	capacity int
-	events   []Event
-	seq      uint64
-	counts   map[EventType]uint64
-	subs     []func(Event)
+	// events is a fixed-capacity ring of the most recent events. It
+	// grows by append until it holds capacity events; from then on head
+	// indexes the oldest, and Record overwrites it in place, so a full
+	// store records in O(1) without copying.
+	events []Event
+	head   int
+	seq    uint64
+	counts map[EventType]uint64
+	subs   []func(Event)
 
 	// userApps aggregates protocol-identified events per user.
 	userApps map[string]map[string]uint64
@@ -120,10 +125,13 @@ func (s *Store) Record(ev Event) Event {
 	if ev.FlowKey != nil && ev.FlowDesc == "" {
 		ev.FlowDesc = ev.FlowKey.String()
 	}
-	s.events = append(s.events, ev)
-	if len(s.events) > s.capacity {
-		drop := len(s.events) - s.capacity
-		s.events = append(s.events[:0], s.events[drop:]...)
+	if len(s.events) < s.capacity {
+		s.events = append(s.events, ev)
+	} else {
+		s.events[s.head] = ev
+		if s.head++; s.head == s.capacity {
+			s.head = 0
+		}
 	}
 	s.counts[ev.Type]++
 	if ev.Type == EventProtocol && ev.User != "" && ev.Detail != "" {
@@ -193,13 +201,16 @@ func (s *Store) Events(f Filter) []Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Event
-	for _, ev := range s.events {
-		if !f.admit(ev) {
-			continue
-		}
-		out = append(out, ev)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
+	// The ring's oldest events run from head to the end, then wrap.
+	for _, seg := range [2][]Event{s.events[s.head:], s.events[:s.head]} {
+		for _, ev := range seg {
+			if !f.admit(ev) {
+				continue
+			}
+			out = append(out, ev)
+			if f.Limit > 0 && len(out) >= f.Limit {
+				return out
+			}
 		}
 	}
 	return out

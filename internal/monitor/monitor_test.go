@@ -39,6 +39,80 @@ func TestCapacityEviction(t *testing.T) {
 	}
 }
 
+// TestRingWrap drives a capacity-4 store past several wraps: it must
+// keep exactly the last four events in Seq order while the lifetime
+// counters keep counting everything recorded.
+func TestRingWrap(t *testing.T) {
+	for _, tc := range []struct {
+		records int
+		wantLen int
+		first   uint64
+	}{
+		{records: 0, wantLen: 0},
+		{records: 3, wantLen: 3, first: 1},
+		{records: 4, wantLen: 4, first: 1},
+		{records: 5, wantLen: 4, first: 2},
+		{records: 8, wantLen: 4, first: 5},
+		{records: 10, wantLen: 4, first: 7},
+	} {
+		s := NewStore(4)
+		for i := 0; i < tc.records; i++ {
+			typ := EventFlowStart
+			if i%2 == 1 {
+				typ = EventAttack
+			}
+			s.Record(Event{Type: typ, At: time.Duration(i) * time.Millisecond})
+		}
+		if s.Len() != tc.wantLen {
+			t.Fatalf("%d records: Len = %d, want %d", tc.records, s.Len(), tc.wantLen)
+		}
+		if s.TotalRecorded() != uint64(tc.records) {
+			t.Fatalf("%d records: TotalRecorded = %d", tc.records, s.TotalRecorded())
+		}
+		starts, attacks := s.Count(EventFlowStart), s.Count(EventAttack)
+		if starts != uint64((tc.records+1)/2) || attacks != uint64(tc.records/2) {
+			t.Fatalf("%d records: Count = %d starts, %d attacks", tc.records, starts, attacks)
+		}
+		evs := s.Events(Filter{})
+		if len(evs) != tc.wantLen {
+			t.Fatalf("%d records: Events returned %d", tc.records, len(evs))
+		}
+		for i, ev := range evs {
+			if want := tc.first + uint64(i); ev.Seq != want {
+				t.Fatalf("%d records: Events[%d].Seq = %d, want %d", tc.records, i, ev.Seq, want)
+			}
+		}
+		var replayed []uint64
+		s.Replay(0, 0, func(ev Event) bool { replayed = append(replayed, ev.Seq); return true })
+		if len(replayed) != tc.wantLen || (tc.wantLen > 0 && replayed[0] != tc.first) {
+			t.Fatalf("%d records: Replay visited %v", tc.records, replayed)
+		}
+		if got := s.Events(Filter{Limit: 2}); tc.wantLen >= 2 && (len(got) != 2 || got[1].Seq != tc.first+1) {
+			t.Fatalf("%d records: limited Events = %+v", tc.records, got)
+		}
+	}
+}
+
+// TestRecordFullStoreZeroAllocs pins the ring's point: once the store is
+// full, recording an event without a flow key copies nothing and
+// allocates nothing.
+func TestRecordFullStoreZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
+	}
+	s := NewStore(64)
+	ev := Event{Type: EventLoadReport, SE: 7, Detail: "load"}
+	for i := 0; i < 100; i++ {
+		s.Record(ev)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Record(ev) }); allocs != 0 {
+		t.Fatalf("Record on a full store allocs/run = %v, want 0", allocs)
+	}
+	if s.Len() != 64 {
+		t.Fatalf("Len = %d, want 64", s.Len())
+	}
+}
+
 func TestFilters(t *testing.T) {
 	s := NewStore(0)
 	s.Record(Event{Type: EventAttack, User: "u1", At: 10 * time.Millisecond})
@@ -221,5 +295,41 @@ func TestIndexPageServed(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode == 200 {
 		t.Fatal("unknown path served the index")
+	}
+}
+
+// TestRecordFullStoreWritesOneSlot is the O(1) half of the ring
+// contract: on a full store, Record overwrites the single oldest slot
+// and moves no other retained event.
+func TestRecordFullStoreWritesOneSlot(t *testing.T) {
+	s := NewStore(8)
+	for i := 0; i < 13; i++ {
+		s.Record(Event{Type: EventFlowStart})
+	}
+	before := append([]Event(nil), s.events...)
+	s.Record(Event{Type: EventFlowStart})
+	changed := 0
+	for i := range before {
+		if s.events[i] != before[i] {
+			changed++
+		}
+	}
+	if changed != 1 {
+		t.Fatalf("Record on a full store rewrote %d slots, want 1", changed)
+	}
+}
+
+// BenchmarkStoreRecordFull records into a full default-capacity store:
+// the steady state of a long-running controller.
+func BenchmarkStoreRecordFull(b *testing.B) {
+	s := NewStore(0)
+	ev := Event{Type: EventLoadReport, SE: 7}
+	for i := 0; i < 65536; i++ {
+		s.Record(ev)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Record(ev)
 	}
 }

@@ -46,7 +46,6 @@ func TestCompiledLookupZeroAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless here")
 	}
 	tbl := allocTable(1000)
-	tbl.SetCompiled(true)
 	hit := key(1, netpkt.IP(10, 0, 7, 9), 81)
 	miss := key(1, netpkt.IP(192, 168, 1, 1), 443)
 	var d Decision

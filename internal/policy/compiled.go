@@ -32,8 +32,9 @@ package policy
 // single-intent edit budget rides on this).
 //
 // Equivalence with the linear scan is property-tested and fuzzed against
-// randomized rule sets (compiled_prop_test.go); the classifier is only
-// reachable behind Table.SetCompiled, default off.
+// randomized rule sets (compiled_prop_test.go). Every Table maintains
+// one and Table.Lookup always probes it; Table.LookupLinear is kept as
+// the reference.
 
 import (
 	"math/bits"
@@ -213,8 +214,8 @@ type partition struct {
 	nRules  int
 }
 
-// Compiled is the classifier. Build with newCompiled + insert, or via
-// Table.SetCompiled.
+// Compiled is the classifier. Build with newCompiled + insert; NewTable
+// does so for every Table.
 type Compiled struct {
 	byShape [numShapes]*partition
 	// scan lists populated partitions in descending maxPrio order (shape

@@ -78,9 +78,6 @@ func randKey(rng *rand.Rand) flow.Key {
 // reference scan for a batch of random keys.
 func checkEquivalent(t *testing.T, tbl *Table, rng *rand.Rand, keys int, tag string) {
 	t.Helper()
-	if !tbl.CompiledEnabled() {
-		t.Fatalf("%s: compiled path not enabled", tag)
-	}
 	for i := 0; i < keys; i++ {
 		k := randKey(rng)
 		got, want := tbl.Lookup(k), tbl.LookupLinear(k)
@@ -104,8 +101,6 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Build from existing rules.
-		tbl.SetCompiled(true)
 		checkEquivalent(t, tbl, rng, 200, fmt.Sprintf("trial %d build", trial))
 
 		// Incremental churn: adds, same-name replacements, removes.
@@ -122,8 +117,11 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 		checkEquivalent(t, tbl, rng, 200, fmt.Sprintf("trial %d churn", trial))
 
 		// Rebuild-from-scratch equals incrementally-maintained.
-		tbl.SetCompiled(false)
-		tbl.SetCompiled(true)
+		c := newCompiled()
+		for _, r := range tbl.rules {
+			c.insert(r)
+		}
+		tbl.compiled = c
 		checkEquivalent(t, tbl, rng, 100, fmt.Sprintf("trial %d rebuild", trial))
 	}
 }
@@ -141,7 +139,6 @@ func FuzzCompiledLookup(f *testing.F) {
 		for i := 0; i < int(n%80)+1; i++ {
 			_ = tbl.Add(randRule(rng, fmt.Sprintf("r%03d", i)))
 		}
-		tbl.SetCompiled(true)
 		for i := 0; i < 64; i++ {
 			k := randKey(rng)
 			got, want := tbl.Lookup(k), tbl.LookupLinear(k)
@@ -157,7 +154,6 @@ func FuzzCompiledLookup(f *testing.F) {
 // from the scan, and re-adding must restore it.
 func TestCompiledRemoveEmptiesPartition(t *testing.T) {
 	tbl := NewTable(Allow)
-	tbl.SetCompiled(true)
 	_ = tbl.Add(&Rule{Name: "p80", Priority: 9, Match: Match{DstPort: 80}, Action: Deny})
 	k := key(1, netpkt.IP(1, 1, 1, 1), 80)
 	if d := tbl.Lookup(k); d.Rule != "p80" {
@@ -178,7 +174,6 @@ func TestCompiledRemoveEmptiesPartition(t *testing.T) {
 // an extra probe but lookups must stay correct.
 func TestCompiledStaleMaxPrio(t *testing.T) {
 	tbl := NewTable(Allow)
-	tbl.SetCompiled(true)
 	_ = tbl.Add(&Rule{Name: "hi", Priority: 100, Match: Match{DstPort: 80}, Action: Deny})
 	_ = tbl.Add(&Rule{Name: "lo", Priority: 1, Match: Match{DstPort: 80}, Action: Allow})
 	_ = tbl.Add(&Rule{Name: "mid", Priority: 50, Match: Match{Proto: netpkt.ProtoTCP}, Action: Chain,
@@ -187,24 +182,5 @@ func TestCompiledStaleMaxPrio(t *testing.T) {
 	k := key(1, netpkt.IP(1, 1, 1, 1), 80)
 	if d := tbl.Lookup(k); d.Rule != "mid" {
 		t.Fatalf("decision = %+v, want mid", d)
-	}
-}
-
-// TestSetCompiledIdempotent covers the no-op transitions.
-func TestSetCompiledIdempotent(t *testing.T) {
-	tbl := NewTable(Allow)
-	tbl.SetCompiled(false)
-	if tbl.CompiledEnabled() {
-		t.Fatal("off->off enabled the classifier")
-	}
-	tbl.SetCompiled(true)
-	c := tbl.compiled
-	tbl.SetCompiled(true)
-	if tbl.compiled != c {
-		t.Fatal("on->on rebuilt the classifier")
-	}
-	tbl.SetCompiled(false)
-	if tbl.CompiledEnabled() {
-		t.Fatal("on->off left the classifier enabled")
 	}
 }
